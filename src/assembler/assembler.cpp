@@ -184,6 +184,7 @@ class Assembler {
   symtab::Symtab run(const std::string& source) {
     parse(source);
     layout();
+    check_overlap();
     return emit();
   }
 
@@ -756,6 +757,25 @@ class Assembler {
         }
       }
       section_end_[k] = addr;
+    }
+  }
+
+  // Sections sit at fixed bases, so one that outgrows the gap to the next
+  // base would silently overlay it: reject any two non-empty sections
+  // whose final [base, end) ranges intersect.
+  void check_overlap() const {
+    constexpr int n = static_cast<int>(SecKind::kCount);
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        const SecKind a = static_cast<SecKind>(i), b = static_cast<SecKind>(j);
+        if (section_end_[i] > section_base(a) &&
+            section_end_[j] > section_base(b) &&
+            section_base(a) < section_end_[j] &&
+            section_base(b) < section_end_[i])
+          throw Error(std::string("asm: section ") + section_name(a) +
+                      " overlaps section " + section_name(b) +
+                      "; move one with Options::*_base");
+      }
     }
   }
 

@@ -3,10 +3,10 @@
 #include <cstring>
 
 #include "common/status.hpp"
+#include "common/workers.hpp"
 #include "fuzz/fuzz.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
-#include "parse/scheduler.hpp"
 
 namespace rvdyn::fuzz {
 
@@ -122,13 +122,15 @@ bool is_crash(emu::StopReason r) {
 }  // namespace
 
 /// Everything one shard owns: a private guest, its snapshot, a private
-/// RNG/mutation stream, a map read-back buffer, and a private metric
-/// namespace — workers share only the corpus, the global coverage set and
-/// the result under their own locks.
+/// RNG/mutation stream, its schedule stack of corpus indices, a map
+/// read-back buffer, and a private metric namespace — workers share only
+/// the corpus, the global coverage set and the result under their own
+/// locks.
 struct Campaign::Worker {
   emu::Machine m;
   emu::Machine::Snapshot snap;
   Mutator mut;
+  std::vector<std::size_t> stack;  ///< LIFO of corpus indices to fuzz
   std::vector<std::uint8_t> map;
   obs::ScopedView view;
   obs::Counter c_execs, c_admits, c_crashes, c_hangs, c_resets_pages;
@@ -221,9 +223,7 @@ std::ptrdiff_t Campaign::execute_one(Worker& w,
   return static_cast<std::ptrdiff_t>(idx);
 }
 
-void Campaign::process_item(Worker& w, unsigned widx,
-                            parse::WorkStealingPool& pool,
-                            std::size_t corpus_idx) {
+void Campaign::process_item(Worker& w, std::size_t corpus_idx) {
   if (stop_.load(std::memory_order_acquire) ||
       execs_.load(std::memory_order_relaxed) >= opts_.max_execs)
     return;
@@ -236,25 +236,21 @@ void Campaign::process_item(Worker& w, unsigned widx,
     std::vector<std::uint8_t> data = entry.bytes;
     w.mut.mutate(data, corpus_, opts_.max_input_len);
     const std::ptrdiff_t admitted = execute_one(w, data);
-    if (admitted >= 0)
-      pool.push(widx, {static_cast<std::uint64_t>(admitted), nullptr});
+    if (admitted >= 0) w.stack.push_back(static_cast<std::size_t>(admitted));
   }
-  // Chain the schedule: hand the pool a fresh energy-weighted pick so the
-  // campaign only drains when the exec budget (or a crash) stops it.
+  // Chain the schedule: push a fresh energy-weighted pick so the worker
+  // only runs dry when the exec budget (or a crash) stops it.
   if (!stop_.load(std::memory_order_acquire) &&
       execs_.load(std::memory_order_relaxed) < opts_.max_execs)
-    pool.push(widx, {corpus_.pick(w.mut.next()), nullptr});
+    w.stack.push_back(corpus_.pick(w.mut.next()));
 }
 
-void Campaign::run_worker(unsigned widx, parse::WorkStealingPool& pool) {
-  Worker& w = *workers_[widx];
-  parse::SchedStats stats;
-  pool.drain(
-      widx,
-      [&](const parse::ParseWork& item) {
-        process_item(w, widx, pool, static_cast<std::size_t>(item.entry));
-      },
-      &stats);
+void Campaign::run_worker(Worker& w) {
+  while (!w.stack.empty()) {
+    const std::size_t idx = w.stack.back();
+    w.stack.pop_back();
+    process_item(w, idx);
+  }
 }
 
 CampaignResult Campaign::run() {
@@ -281,11 +277,10 @@ CampaignResult Campaign::run() {
     if (execute_one(*workers_[0], s) < 0 && corpus_.size() == 0)
       corpus_.add(s, 0);  // keep at least one schedulable entry
 
-  parse::WorkStealingPool pool(opts_.workers);
   for (unsigned i = 0; i < opts_.workers; ++i)
-    pool.push(i, {i % corpus_.size(), nullptr});
-  parse::run_on_workers(opts_.workers,
-                        [&](unsigned widx) { run_worker(widx, pool); });
+    workers_[i]->stack.push_back(i % corpus_.size());
+  run_on_workers(opts_.workers,
+                 [&](unsigned widx) { run_worker(*workers_[widx]); });
 
   result_.execs = execs_.load();
   result_.corpus_size = corpus_.size();

@@ -16,8 +16,8 @@
 //    map *survives* resets and accumulates across the whole campaign.
 //
 //  * Campaign — the loop: a corpus scheduled by coverage novelty, a
-//    deterministic mutation engine, N workers sharded over the parse
-//    layer's work-stealing pool (each with a private Machine, snapshot and
+//    deterministic mutation engine, N workers on their own threads (each
+//    with a private Machine, snapshot, schedule stack and
 //    `rvdyn.fuzz.w<i>.*` metric namespace), and crash triage through
 //    obs::postmortem_report.
 //
@@ -39,10 +39,6 @@
 #include "emu/machine.hpp"
 #include "patch/editor.hpp"
 #include "symtab/symtab.hpp"
-
-namespace rvdyn::parse {
-class WorkStealingPool;
-}  // namespace rvdyn::parse
 
 namespace rvdyn::fuzz {
 
@@ -189,8 +185,8 @@ struct CampaignResult {
   bool found_crash() const { return !crashes.empty(); }
 };
 
-/// One fuzzing campaign over a coverage-woven target. Workers shard over
-/// parse::WorkStealingPool: each scheduled item is one corpus index, each
+/// One fuzzing campaign over a coverage-woven target. Each worker runs on
+/// its own thread and pops corpus indices off its own LIFO stack; each
 /// execution is snapshot-reset + input write + run. Per-worker metrics land
 /// under `<metrics_prefix>.w<i>.*` (reset at campaign start via the scoped
 /// registry view, so back-to-back campaigns never accumulate).
@@ -213,12 +209,12 @@ class Campaign {
 
  private:
   struct Worker;
-  void run_worker(unsigned widx, parse::WorkStealingPool& pool);
+  /// Pop and fuzz corpus indices off `w`'s own stack until it is empty.
+  void run_worker(Worker& w);
   /// Run one test case on `w`'s machine; returns the index of the corpus
   /// entry it was admitted as (novel coverage), or -1.
   std::ptrdiff_t execute_one(Worker& w, const std::vector<std::uint8_t>& input);
-  void process_item(Worker& w, unsigned widx, parse::WorkStealingPool& pool,
-                    std::size_t corpus_idx);
+  void process_item(Worker& w, std::size_t corpus_idx);
 
   CampaignOptions opts_;
   WovenTarget woven_;

@@ -121,13 +121,16 @@ ExprPtr fold(const CodeObject& co, const ExprPtr& e) {
   return out;
 }
 
-// Find the register leaf of an index expression (digging through shifts and
-// width adjustments), used to locate the bound check.
-std::optional<isa::Reg> index_register(const ExprPtr& e) {
-  if (e->op == Op::Reg) return e->reg;
-  for (const auto& k : e->kids)
-    if (auto r = index_register(k)) return r;
-  return std::nullopt;
+// Structural equality of two sliced values. Unknown leaves never match:
+// two values the slicer could not model need not be the same value.
+bool same_value(const ExprPtr& a, const ExprPtr& b) {
+  if (a->op != b->op || a->op == Op::Unknown || a->value != b->value ||
+      !(a->reg == b->reg) || a->size != b->size ||
+      a->sign_extend != b->sign_extend || a->kids.size() != b->kids.size())
+    return false;
+  for (std::size_t i = 0; i < a->kids.size(); ++i)
+    if (!same_value(a->kids[i], b->kids[i])) return false;
+  return true;
 }
 
 struct TableForm {
@@ -180,28 +183,37 @@ std::optional<TableForm> match_table_addr(const ExprPtr& addr,
   return std::nullopt;
 }
 
-// Search (this block and a short chain of unique predecessors) for a
-// conditional bound check on `idxreg`; returns the entry count when found.
+// Search (this block and a short chain of unique predecessors) for an
+// unsigned conditional bound check on the table index; returns the entry
+// count when found. A branch operand matches when its value sliced at the
+// branch equals `index`, so a selector masked or copied into another
+// register before the check (`andi t0,a0,7 ... bgeu t0,t1`) still matches.
 std::optional<std::uint64_t> find_bound(const ClassifyContext& ctx,
-                                        isa::Reg idxreg) {
+                                        const ExprPtr& index) {
   const Block* b = ctx.block;
   for (int hops = 0; hops < 4 && b; ++hops) {
     // The check is the terminator of a predecessor block.
     const Block* pred = ctx.func ? unique_pred(*ctx.func, b) : nullptr;
     if (!pred || pred->insns().empty()) return std::nullopt;
     const ParsedInsn& term = pred->last();
-    if (term.insn.is_cond_branch()) {
+    const auto mn = term.insn.mnemonic();
+    if (mn == isa::Mnemonic::bltu || mn == isa::Mnemonic::bgeu) {
+      ClassifyContext pctx = ctx;
+      pctx.block = pred;
+      pctx.insn_index = static_cast<int>(pred->insns().size()) - 1;
       const isa::Reg rs1 = term.insn.operand(0).reg;
       const isa::Reg rs2 = term.insn.operand(1).reg;
-      const auto mn = term.insn.mnemonic();
-      const bool unsigned_cmp =
-          mn == isa::Mnemonic::bltu || mn == isa::Mnemonic::bgeu;
-      if (unsigned_cmp && (rs1 == idxreg || rs2 == idxreg)) {
-        const isa::Reg bound_reg = rs1 == idxreg ? rs2 : rs1;
-        ClassifyContext pctx = ctx;
-        pctx.block = pred;
-        pctx.insn_index = static_cast<int>(pred->insns().size()) - 1;
-        const ExprPtr be = slice_register(pctx, bound_reg);
+      auto is_index = [&](isa::Reg r) {
+        return same_value(fold(*ctx.co, slice_register(pctx, r)), index);
+      };
+      std::optional<isa::Reg> bound_reg;
+      if (is_index(rs1)) {
+        bound_reg = rs2;
+      } else if (is_index(rs2)) {
+        bound_reg = rs1;
+      }
+      if (bound_reg) {
+        const ExprPtr be = slice_register(pctx, *bound_reg);
         if (auto v = fold_constant(*ctx.co, be)) {
           if (*v > 0 && *v <= 1u << 20) return v;
         }
@@ -307,9 +319,7 @@ Classification classify_branch(const ClassifyContext& ctx) {
   if (folded->op == Op::Mem && (folded->size == 8 || folded->size == 4)) {
     const ExprPtr addr = fold(*ctx.co, folded->kids[0]);
     if (auto tf = match_table_addr(addr, folded->size)) {
-      std::optional<std::uint64_t> bound;
-      if (auto idxreg = index_register(tf->index))
-        bound = find_bound(ctx, *idxreg);
+      const std::optional<std::uint64_t> bound = find_bound(ctx, tf->index);
       const std::uint64_t max_entries =
           bound ? *bound : ctx.max_table_entries;
       std::vector<std::uint64_t> targets;

@@ -1,14 +1,15 @@
 // The traversal parser: builds each function's CFG by following control
 // flow from its entry, splitting blocks at join points, classifying
 // jal/jalr transfers, and discovering new functions from call/tail-call
-// targets. Functions parse independently, so the work scales across a
-// work-stealing thread pool (the paper's "fast parallel algorithm").
+// targets. Functions parse independently, so the traversal fans across
+// worker threads (the paper's "fast parallel algorithm").
 //
 // Parallel structure (see docs/parallel_parse.md):
-//  * WorkStealingPool (scheduler.hpp) — per-worker deques with batched
-//    steals replace the old single mutex+condvar entry queue.
-//  * FunctionRegistry (registry.hpp) — functions sharded by entry address;
-//    registration dedupes through a lock-free striped address set.
+//  * One mutex guards a LIFO queue of functions to parse and the
+//    CodeObject's function map. register_function dedups and creates each
+//    Function under that mutex, so every entry is queued exactly once.
+//  * A worker leaves when the queue is empty and no worker is busy (only
+//    a busy worker can still discover new functions).
 //  * The classify-time "is this a function entry" oracle answers from the
 //    seed set (symbols + ELF entry), frozen before traversal starts, so
 //    every CFG is a pure function of the binary regardless of the worker
@@ -18,20 +19,21 @@
 //  * The gap scan and the finalize pass fan across the same workers.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/workers.hpp"
 #include "isa/decoder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parse/classify.hpp"
-#include "parse/registry.hpp"
-#include "parse/scheduler.hpp"
 
 namespace rvdyn::parse {
 
@@ -46,12 +48,7 @@ class Parser {
       : co_(co), st_(st), opts_(opts), funcs_(funcs),
         decoder_(st.extensions().has(isa::Extension::I)
                      ? st.extensions()
-                     : isa::ExtensionSet::rv64gc()),
-        registry_(st.symbols().size() + 256),
-        pool_(opts.num_threads < 1 ? 1 : opts.num_threads) {
-    // Re-parse support: functions from an earlier run keep their CFGs.
-    if (!funcs_.empty()) registry_.adopt(funcs_);
-  }
+                     : isa::ExtensionSet::rv64gc()) {}
 
   void run() {
     RVDYN_OBS_SPAN("rvdyn.parse");
@@ -69,7 +66,6 @@ class Parser {
     {
       RVDYN_OBS_SPAN("rvdyn.parse.finalize");
       RVDYN_OBS_TIMER("rvdyn.parse.finalize_ns");
-      registry_.drain_into(funcs_);
       finalize_functions();
     }
     publish_totals();
@@ -80,10 +76,11 @@ class Parser {
     return opts_.num_threads < 1 ? 1 : opts_.num_threads;
   }
 
-  /// Run the pool's worker loop on every worker until all queued parse
-  /// work (including work discovered while parsing) is retired.
+  /// Run the worker loop on every worker until all queued parse work
+  /// (including work discovered while parsing) is done. Called only while
+  /// no worker runs, so the queue needs no lock here.
   void drain_all() {
-    if (pool_.idle()) return;
+    if (queue_.empty()) return;
     run_on_workers(worker_count(), [this](unsigned w) {
       if (w == 0) {
         run_worker(0, decoder_);
@@ -96,19 +93,44 @@ class Parser {
     });
   }
 
-  // Drain parse work on this thread. Publishes per-worker function and
-  // block counts so load imbalance across the pool shows up in metrics.
+  /// Lock the queue mutex, counting a failed first try as contention.
+  std::unique_lock<std::mutex> lock_queue() {
+    std::unique_lock lock(mu_, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      contended_.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
+    }
+    return lock;
+  }
+
+  // Pop and parse functions until the queue is empty and no worker is busy.
+  // Publishes per-worker function and block counts so load imbalance
+  // across the workers shows up in metrics.
   void run_worker(unsigned widx, const isa::Decoder& dec) {
-    std::uint64_t n_funcs = 0, n_blocks = 0;
-    SchedStats stats;
-    pool_.drain(
-        widx,
-        [&](const ParseWork& wk) {
-          n_blocks += parse_function(dec, wk, widx);
-          ++n_funcs;
-        },
-        &stats);
-    stats.accumulate_into(sched_totals_);
+    std::uint64_t n_funcs = 0, n_blocks = 0, idle_ns = 0;
+    std::unique_lock lock = lock_queue();
+    for (;;) {
+      if (!queue_.empty()) {
+        Function* f = queue_.back();
+        queue_.pop_back();
+        ++busy_;
+        lock.unlock();
+        n_blocks += parse_function(dec, f);
+        ++n_funcs;
+        lock = lock_queue();
+        if (--busy_ == 0 && queue_.empty()) cv_.notify_all();
+        continue;
+      }
+      if (busy_ == 0) break;
+      const auto t0 = std::chrono::steady_clock::now();
+      cv_.wait(lock);
+      idle_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+    }
+    lock.unlock();
+    idle_ns_.fetch_add(idle_ns, std::memory_order_relaxed);
 #if RVDYN_OBS_ENABLED
     if (n_funcs) {
       const std::string prefix = "rvdyn.parse.worker." + std::to_string(widx);
@@ -132,26 +154,12 @@ class Parser {
     RVDYN_OBS_COUNT_N("rvdyn.parse.blocks", blocks);
     RVDYN_OBS_COUNT_N("rvdyn.parse.insns", insns);
     RVDYN_OBS_COUNT_N("rvdyn.parse.unresolved", unresolved);
-    // Scheduler balance: steals move batches between worker deques; idle
-    // time is napping with an empty deque and nothing to steal.
-    RVDYN_OBS_COUNT_N("rvdyn.parse.steals",
-                      sched_totals_[0].load(std::memory_order_relaxed));
-    RVDYN_OBS_COUNT_N("rvdyn.parse.steal_items",
-                      sched_totals_[1].load(std::memory_order_relaxed));
+    // Queue health: contention is a busy queue mutex on first try; idle
+    // time is workers waiting on the condvar with nothing to pop.
     RVDYN_OBS_COUNT_N("rvdyn.parse.sched.contended",
-                      sched_totals_[2].load(std::memory_order_relaxed));
+                      contended_.load(std::memory_order_relaxed));
     RVDYN_OBS_COUNT_N("rvdyn.parse.sched.idle_ns",
-                      sched_totals_[3].load(std::memory_order_relaxed));
-    // Registry contention, per shard (only shards that saw traffic).
-    for (unsigned i = 0; i < FunctionRegistry::kShards; ++i) {
-      const auto ss = registry_.shard_stats(i);
-      const std::string prefix =
-          "rvdyn.parse.registry.shard." + std::to_string(i);
-      if (ss.creates) obs::Counter(prefix + ".creates").add(ss.creates);
-      if (ss.contended) obs::Counter(prefix + ".contended").add(ss.contended);
-    }
-    if (const std::uint64_t ov = registry_.overflow_size())
-      RVDYN_OBS_COUNT_N("rvdyn.parse.registry.overflow", ov);
+                      idle_ns_.load(std::memory_order_relaxed));
 #endif
   }
 
@@ -170,36 +178,40 @@ class Parser {
       if (st_.in_code(sym->value)) seeds_.insert(sym->value);
     if (st_.entry && st_.in_code(st_.entry)) seeds_.insert(st_.entry);
 
-    unsigned w = 0;
-    for (const symtab::Symbol* sym : st_.function_symbols()) {
-      if (!st_.in_code(sym->value)) continue;
-      register_function(sym->value, sym->name, w++);
-    }
-    if (st_.entry && st_.in_code(st_.entry))
-      register_function(st_.entry, "", w);
+    for (const symtab::Symbol* sym : st_.function_symbols())
+      if (st_.in_code(sym->value)) register_function(sym->value, sym->name);
+    if (st_.entry && st_.in_code(st_.entry)) register_function(st_.entry, "");
   }
 
   bool is_seed_entry(std::uint64_t a) const { return seeds_.count(a) != 0; }
 
-  // Create the Function object for `entry` (unless already registered) and
-  // queue it on worker `widx`'s deque.
-  void register_function(std::uint64_t entry, const std::string& name,
-                         unsigned widx) {
-    auto [fn, inserted] = registry_.emplace(entry, [&]() -> std::string {
-      if (!name.empty()) return name;
-      const auto it = name_by_addr_.find(entry);
-      if (it != name_by_addr_.end()) return *it->second;
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "func_%llx",
-                    static_cast<unsigned long long>(entry));
-      return buf;
-    });
-    if (inserted) {
-      RVDYN_OBS_COUNT("rvdyn.parse.registry.creates");
-      pool_.push(widx, {entry, fn});
-    } else {
-      RVDYN_OBS_COUNT("rvdyn.parse.registry.dedup_hits");
+  std::string function_name(std::uint64_t entry,
+                            const std::string& name) const {
+    if (!name.empty()) return name;
+    const auto it = name_by_addr_.find(entry);
+    if (it != name_by_addr_.end()) return *it->second;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "func_%llx",
+                  static_cast<unsigned long long>(entry));
+    return buf;
+  }
+
+  // Create the Function object for `entry` (unless already registered, by
+  // this parse or an earlier one) and queue it for parsing.
+  void register_function(std::uint64_t entry, const std::string& name) {
+    {
+      std::unique_lock lock = lock_queue();
+      auto [it, inserted] = funcs_.try_emplace(entry);
+      if (!inserted) {
+        lock.unlock();
+        RVDYN_OBS_COUNT("rvdyn.parse.registry.dedup_hits");
+        return;
+      }
+      it->second = std::make_unique<Function>(entry, function_name(entry, name));
+      queue_.push_back(it->second.get());
     }
+    cv_.notify_one();
+    RVDYN_OBS_COUNT("rvdyn.parse.registry.creates");
   }
 
   // Fetch the raw bytes backing [addr, ...) from the code section.
@@ -212,27 +224,23 @@ class Parser {
     return s->data.data() + off;
   }
 
-  // Returns the number of blocks this call parsed (0 when already parsed).
-  std::uint64_t parse_function(const isa::Decoder& dec, const ParseWork& wk,
-                               unsigned widx) {
-    Function* f = wk.fn;
-    if (!f->blocks().empty()) return 0;  // already parsed
-
+  // Returns the number of blocks parsed into `f`.
+  std::uint64_t parse_function(const isa::Decoder& dec, Function* f) {
     FunctionStats& stats = f->mutable_stats();
-    std::deque<std::uint64_t> work{wk.entry};
+    std::deque<std::uint64_t> work{f->entry()};
     // Intra-function targets already queued: dense branch fan-in would
     // otherwise re-push the same join point once per incoming edge.
-    std::unordered_set<std::uint64_t> seen{wk.entry};
+    std::unordered_set<std::uint64_t> seen{f->entry()};
     while (!work.empty()) {
       const std::uint64_t start = work.front();
       work.pop_front();
       if (Block* existing = f->block_containing(start)) {
         if (existing->start() == start) continue;
-        split_block(dec, f, existing, start, widx);
+        split_block(dec, f, existing, start);
         continue;
       }
       Block* b = f->add_block(start);
-      parse_block(dec, f, b, &work, &seen, &stats, widx);
+      parse_block(dec, f, b, &work, &seen, &stats);
     }
 
     stats.n_blocks = static_cast<unsigned>(f->blocks().size());
@@ -245,7 +253,7 @@ class Parser {
   // Split `b` at `at` (which must be an instruction boundary inside b);
   // the suffix becomes a new block inheriting b's out-edges.
   void split_block(const isa::Decoder& dec, Function* f, Block* b,
-                   std::uint64_t at, unsigned widx) {
+                   std::uint64_t at) {
     auto& insns = b->mutable_insns();
     std::size_t idx = 0;
     while (idx < insns.size() && insns[idx].addr != at) ++idx;
@@ -255,13 +263,13 @@ class Parser {
       Block* nb = f->add_block(at);
       std::deque<std::uint64_t> local;
       std::unordered_set<std::uint64_t> lseen;
-      parse_block(dec, f, nb, &local, &lseen, &f->mutable_stats(), widx);
+      parse_block(dec, f, nb, &local, &lseen, &f->mutable_stats());
       for (std::uint64_t t : local)
         if (!f->block_containing(t)) {
           Block* tb = f->add_block(t);
           std::deque<std::uint64_t> l2;
           std::unordered_set<std::uint64_t> l2seen;
-          parse_block(dec, f, tb, &l2, &l2seen, &f->mutable_stats(), widx);
+          parse_block(dec, f, tb, &l2, &l2seen, &f->mutable_stats());
         }
       return;
     }
@@ -277,7 +285,7 @@ class Parser {
   void parse_block(const isa::Decoder& dec, Function* f, Block* b,
                    std::deque<std::uint64_t>* work,
                    std::unordered_set<std::uint64_t>* seen,
-                   FunctionStats* stats, unsigned widx) {
+                   FunctionStats* stats) {
     const std::uint64_t start = b->start();
     std::size_t avail = 0;
     const std::uint8_t* bytes = code_at(start, &avail);
@@ -310,7 +318,7 @@ class Parser {
               return false;
             }
             if (insn.is_jal() || insn.is_jalr()) {
-              handle_unconditional(f, b, work, seen, stats, next, widx);
+              handle_unconditional(f, b, work, seen, stats, next);
               closed = true;
               return false;
             }
@@ -345,8 +353,7 @@ class Parser {
   void handle_unconditional(Function* f, Block* b,
                             std::deque<std::uint64_t>* work,
                             std::unordered_set<std::uint64_t>* seen,
-                            FunctionStats* stats, std::uint64_t next,
-                            unsigned widx) {
+                            FunctionStats* stats, std::uint64_t next) {
     ClassifyContext ctx;
     ctx.co = &co_;
     ctx.func = f;
@@ -370,7 +377,7 @@ class Parser {
         if (c.target) {
           b->add_succ({EdgeType::Call, *c.target});
           f->add_callee(*c.target);
-          register_function(*c.target, "", widx);
+          register_function(*c.target, "");
         }
         b->add_succ({EdgeType::CallFallthrough, next});
         push_target(f, work, seen, next);
@@ -379,7 +386,7 @@ class Parser {
         ++stats->n_tail_calls;
         b->add_succ({EdgeType::TailCall, *c.target});
         f->add_callee(*c.target);
-        register_function(*c.target, "", widx);
+        register_function(*c.target, "");
         break;
       case BranchKind::Return:
         ++stats->n_returns;
@@ -413,15 +420,14 @@ class Parser {
   // Gap parsing (paper §2.1): scan byte ranges of code sections not claimed
   // by any parsed function for plausible function prologues and parse them
   // speculatively. Ranges are computed once from the traversal result, then
-  // scanned across the worker pool; discovered entries drain through the
-  // same scheduler.
+  // scanned across the workers; discovered entries drain through the same
+  // queue.
   void parse_gaps() {
     // Collect claimed ranges.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> claimed;
-    registry_.for_each([&](Function* f) {
+    for (const auto& [entry, f] : funcs_)
       for (const auto& [a, b] : f->blocks())
         claimed.emplace_back(b->start(), b->end());
-    });
     std::sort(claimed.begin(), claimed.end());
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
@@ -458,7 +464,7 @@ class Parser {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= ranges.size()) break;
-        scan_gap(*dec, ranges[i].first, ranges[i].second, w);
+        scan_gap(*dec, ranges[i].first, ranges[i].second);
       }
     });
 
@@ -468,8 +474,8 @@ class Parser {
 
   // Heuristic prologue match at the start of a gap range: a stack
   // adjustment (addi sp, sp, -N / c.addi16sp) opens most functions.
-  void scan_gap(const isa::Decoder& dec, std::uint64_t from, std::uint64_t to,
-                unsigned widx) {
+  void scan_gap(const isa::Decoder& dec, std::uint64_t from,
+                std::uint64_t to) {
     for (std::uint64_t a = (from + 1) & ~1ULL; a + 2 <= to;) {
       std::size_t avail = 0;
       const std::uint8_t* bytes = code_at(a, &avail);
@@ -489,7 +495,7 @@ class Parser {
           });
       if (found) {
         RVDYN_OBS_COUNT("rvdyn.parse.gap_functions");
-        register_function(found, "", widx);
+        register_function(found, "");
         return;  // one speculative entry per gap; its parse claims the rest
       }
       // decode_range stopped at an undecodable parcel: resync past it.
@@ -539,7 +545,7 @@ class Parser {
       for (Edge& e : b->mutable_succs()) {
         if (e.type != EdgeType::Jump) continue;
         if (e.target == f->entry()) continue;
-        if (!registry_.contains(e.target)) continue;
+        if (!funcs_.count(e.target)) continue;
         e.type = EdgeType::TailCall;
         f->add_callee(e.target);
         ++f->mutable_stats().n_tail_calls;
@@ -559,14 +565,19 @@ class Parser {
   CodeObject& co_;
   const symtab::Symtab& st_;
   ParseOptions opts_;
+  /// The CodeObject's function map; written only under mu_ while workers
+  /// run, read freely between phases.
   std::map<std::uint64_t, std::unique_ptr<Function>>& funcs_;
   isa::Decoder decoder_;
-  FunctionRegistry registry_;
-  WorkStealingPool pool_;
   std::unordered_set<std::uint64_t> seeds_;  ///< frozen before traversal
   std::unordered_map<std::uint64_t, const std::string*> name_by_addr_;
-  /// steals, steal_items, contended, idle_ns (see SchedStats).
-  std::atomic<std::uint64_t> sched_totals_[4] = {};
+
+  std::mutex mu_;                 ///< guards queue_, busy_ and funcs_
+  std::condition_variable cv_;    ///< signals new work or completion
+  std::vector<Function*> queue_;  ///< LIFO of registered, unparsed functions
+  unsigned busy_ = 0;             ///< workers inside parse_function
+  std::atomic<std::uint64_t> contended_{0};  ///< try_lock failures on mu_
+  std::atomic<std::uint64_t> idle_ns_{0};    ///< time in cv_.wait
 };
 
 }  // namespace

@@ -264,4 +264,37 @@ TEST(AsmErrors, BranchOutOfRangeDiagnosed) {
   EXPECT_THROW(assembler::assemble(src), Error);
 }
 
+// A .text past 64 KiB reaches the default .rodata base (0x20000): the
+// assembler must refuse to lay the two on top of each other, and the same
+// source must assemble and run once the bases are moved apart. Only
+// non-empty sections count: the same .text alone assembles at the defaults.
+TEST(AsmErrors, OverlappingSectionsRejected) {
+  std::string body = ".globl _start\n_start:\n  .option norvc\n";
+  for (int i = 0; i < 17000; ++i) body += "  nop\n";  // 68000 bytes
+  const std::string src = ".rodata\nvalue:\n  .dword 42\n.text\n" + body +
+                          "  la t0, value\n  ld a0, 0(t0)\n"
+                          "  li a7, 93\n  ecall\n";
+
+  try {
+    assembler::assemble(src);
+    FAIL() << "overlapping .text/.rodata assembled silently";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(".text"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(".rodata"), std::string::npos) << msg;
+  }
+
+  assembler::Options opts;
+  opts.rodata_base = 0x40000;
+  opts.data_base = 0x50000;
+  opts.bss_base = 0x60000;
+  Machine m;
+  m.load(assembler::assemble(src, opts));
+  EXPECT_EQ(static_cast<int>(m.run(1'000'000)),
+            static_cast<int>(StopReason::Exited));
+  EXPECT_EQ(m.exit_code(), 42);
+
+  EXPECT_EQ(run_exit(body + "  li a0, 3\n  li a7, 93\n  ecall\n"), 3);
+}
+
 }  // namespace

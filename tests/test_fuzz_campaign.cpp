@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assembler/assembler.hpp"
@@ -100,6 +101,26 @@ TEST(FuzzCampaign, RepeatCampaignsStartClean) {
   // Determinism: same binary, same seed, fresh campaign — same search.
   EXPECT_EQ(execs_per_run[0], execs_per_run[1]);
   EXPECT_EQ(found_at[0], found_at[1]);
+}
+
+// Schedule pin: a single worker pops its own LIFO stack of corpus indices
+// (admitted entries, then a fresh pick after every item). Any change to
+// that order moves the exec count at which the bug is found, so these
+// figures must stay fixed.
+TEST(FuzzCampaign, SingleWorkerScheduleIsPinned) {
+  const auto bin = target_binary("RV!");
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {{1, 18218},
+                                                          {2, 35754}};
+  for (const auto& [seed, found_at] : pins) {
+    fuzz::CampaignOptions o;
+    o.seed = seed;
+    o.max_input_len = 8;
+    o.max_execs = 3000000;
+    fuzz::Campaign c(bin, o);
+    const auto r = c.run();
+    ASSERT_TRUE(r.found_crash()) << "seed " << seed;
+    EXPECT_EQ(r.crashes.front().found_at_exec, found_at) << "seed " << seed;
+  }
 }
 
 TEST(FuzzCampaign, ScopedViewIsolatesNamespaces) {

@@ -5,10 +5,12 @@
 // blocks at every join point.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "assembler/assembler.hpp"
 #include "obs/profiler.hpp"
+#include "parse/cfg.hpp"
 #include "proccontrol/process.hpp"
 #include "workloads/workloads.hpp"
 
@@ -88,6 +90,111 @@ TEST(ObsProfiler, PcProfileCyclesSumToTotal) {
 
   proc->clear_pc_profile();
   EXPECT_TRUE(proc->pc_profile().empty());
+}
+
+// A switch whose selector is masked in the check block's unique
+// predecessor (`andi t0,a0,7` ... `bgeu t0,t1`): the table index slices
+// through the andi to a0, while the bound check compares t0. The bound
+// must still be found, or the table read runs on into `other`'s table and
+// `dispatch` claims `other`'s case blocks.
+constexpr const char* kMaskedSelectorSwitch = R"(
+    .rodata
+    .align 3
+table:
+    .dword case0
+    .dword case1
+    .dword case2
+    .dword case3
+    .dword case4
+table2:
+    .dword ocase0
+    .dword ocase1
+    .text
+    .globl _start
+_start:
+    li s0, 0
+    li s1, 0
+loop:
+    mv a0, s0
+    call dispatch
+    add s1, s1, a0
+    addi s0, s0, 1
+    li t0, 12
+    blt s0, t0, loop
+    li a0, 1
+    call other
+    add s1, s1, a0
+    mv a0, s1
+    li a7, 93
+    ecall
+
+    .globl dispatch
+dispatch:
+    andi t0, a0, 7
+    j check
+check:
+    li t1, 5
+    bgeu t0, t1, default
+    slli t2, t0, 3
+    la t3, table
+    add t2, t2, t3
+    ld t2, 0(t2)
+    jr t2
+case0: li a0, 1
+       ret
+case1: li a0, 2
+       ret
+case2: li a0, 3
+       ret
+case3: li a0, 4
+       ret
+case4: li a0, 5
+       ret
+default:
+    li a0, 100
+    ret
+
+    .globl other
+other:
+    li t1, 2
+    bgeu a0, t1, odefault
+    slli t2, a0, 3
+    la t3, table2
+    add t2, t2, t3
+    ld t2, 0(t2)
+    jr t2
+ocase0: li a0, 7
+        ret
+ocase1: li a0, 8
+        ret
+odefault:
+    li a0, 9
+    ret
+)";
+
+TEST(ObsProfiler, MaskedSelectorJumpTableResolves) {
+  const symtab::Symtab bin = assembler::assemble(kMaskedSelectorSwitch, {});
+  parse::CodeObject co(bin);
+  co.parse({});
+  const parse::Function* f = co.function_named("dispatch");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->stats().n_jump_tables, 1u);
+
+  std::set<std::uint64_t> cases;
+  for (const char* c : {"case0", "case1", "case2", "case3", "case4"}) {
+    const symtab::Symbol* sym = bin.find_symbol(c);
+    ASSERT_NE(sym, nullptr) << c;
+    cases.insert(sym->value);
+  }
+  std::set<std::uint64_t> indirect;
+  for (const auto& [a, b] : f->blocks())
+    for (const auto& e : b->succs())
+      if (e.type == parse::EdgeType::IndirectJump) indirect.insert(e.target);
+  EXPECT_EQ(indirect, cases);
+}
+
+TEST(ObsProfiler, MaskedSelectorJumpTableBlockFrequenciesMatchEmulator) {
+  expect_profiles_match(kMaskedSelectorSwitch);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
-// Parallel-parse determinism: the work-stealing traversal must produce
-// byte-identical CFGs at every thread count — same function sets, block
-// boundaries, instruction streams, edge lists, and stats. Also unit-tests
-// the two concurrent structures underneath it (AtomicAddrSet,
-// WorkStealingPool) under real thread contention.
+// Parallel-parse determinism: the traversal over the shared work queue must
+// produce byte-identical CFGs at every thread count — same function sets,
+// block boundaries, instruction streams, edge lists, and stats.
 //
 // Build with -DRVDYN_SANITIZE=thread to run these under TSan.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -16,19 +14,13 @@
 
 #include "assembler/assembler.hpp"
 #include "parse/cfg.hpp"
-#include "parse/registry.hpp"
-#include "parse/scheduler.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
 
 using namespace rvdyn;
-using parse::AtomicAddrSet;
 using parse::CodeObject;
 using parse::EdgeType;
-using parse::ParseWork;
-using parse::SchedStats;
-using parse::WorkStealingPool;
 
 // Canonical textual form of a parsed CodeObject: every function (sorted by
 // entry), its name, callees, stats, and every block's boundaries,
@@ -179,86 +171,37 @@ _start:
   }
 }
 
-// Re-parsing through the same CodeObject-equivalent flow (registry adopt
-// path) keeps results stable.
+// Parsing the same binary twice at the same thread count gives the same
+// result.
 TEST(ParseParallel, RepeatedParseIsStable) {
   symtab::Symtab st = assembler::assemble(workloads::many_function_program(200));
   EXPECT_EQ(parse_dump(st, 4), parse_dump(st, 4));
 }
 
-// Exactly one concurrent inserter of each address may win, and every
-// inserted address must be visible to lock-free contains() afterwards.
-TEST(ParseParallel, AtomicAddrSetConcurrentInsertUniqueness) {
-  constexpr std::uint64_t kN = 8192;
-  AtomicAddrSet set(kN);
-  std::atomic<std::uint64_t> wins{0};
-  parse::run_on_workers(4, [&](unsigned) {
-    std::uint64_t local = 0;
-    for (std::uint64_t i = 0; i < kN; ++i)
-      if (set.insert(0x10000 + i * 2)) ++local;
-    wins.fetch_add(local, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(wins.load(), kN);
-  for (std::uint64_t i = 0; i < kN; ++i)
-    EXPECT_TRUE(set.contains(0x10000 + i * 2)) << "missing addr index " << i;
-  EXPECT_FALSE(set.contains(0x10000 + kN * 2));
-  EXPECT_FALSE(set.contains(1));
-}
+// Stripped binary: with every function symbol removed, only the ELF entry
+// seeds the parse, so all other functions are registered by a worker in
+// the middle of its traversal and picked up by whichever worker is free.
+// Every worker count must still agree with the single-thread parse.
+TEST(ParseParallel, StrippedBinaryDeterministicAcrossThreadCounts) {
+  symtab::Symtab st = assembler::assemble(workloads::many_function_program(2000));
+  auto& syms = st.symbols();
+  syms.erase(std::remove_if(syms.begin(), syms.end(),
+                            [](const symtab::Symbol& s) { return s.is_function(); }),
+             syms.end());
+  ASSERT_TRUE(st.function_symbols().empty());
 
-// Undersized table: the probe chains fill and inserts spill into the
-// per-stripe overflow sets. Membership must still be exact.
-TEST(ParseParallel, AtomicAddrSetOverflowPath) {
-  AtomicAddrSet set(16);  // ~4k slots total; 16k inserts force overflow
-  constexpr std::uint64_t kN = 16384;
-  parse::run_on_workers(2, [&](unsigned) {
-    for (std::uint64_t i = 0; i < kN; ++i) set.insert(0x2000 + i * 4);
-  });
-  EXPECT_GT(set.overflow_size(), 0u);
-  for (std::uint64_t i = 0; i < kN; ++i)
-    ASSERT_TRUE(set.contains(0x2000 + i * 4)) << "missing addr index " << i;
-  EXPECT_FALSE(set.contains(0x2000 + kN * 4));
-}
+  CodeObject co(st);
+  co.parse({});
+  EXPECT_EQ(co.functions().size(), 2001u);  // _start + f0..f1999
 
-// Tasks that spawn tasks: drain() must retire the whole tree exactly once
-// across workers, and the pool must be idle when every drain returns.
-TEST(ParseParallel, WorkStealingPoolRunsEverySpawnedTask) {
-  constexpr std::uint64_t kLeafBound = 1024;  // spawn while entry < bound
-  WorkStealingPool pool(4);
-  std::atomic<std::uint64_t> executed{0};
-  std::atomic<std::uint64_t> sum{0};
-  pool.push(0, ParseWork{1, nullptr});
-  parse::run_on_workers(pool.workers(), [&](unsigned w) {
-    SchedStats stats{};
-    pool.drain(
-        w,
-        [&, w](const ParseWork& item) {
-          executed.fetch_add(1, std::memory_order_relaxed);
-          sum.fetch_add(item.entry, std::memory_order_relaxed);
-          if (item.entry < kLeafBound) {
-            pool.push(w, ParseWork{item.entry * 2, nullptr});
-            pool.push(w, ParseWork{item.entry * 2 + 1, nullptr});
-          }
-        },
-        &stats);
-  });
-  EXPECT_TRUE(pool.idle());
-  // Complete binary tree over entries 1..2047: 2047 nodes summing to
-  // 2047*2048/2.
-  EXPECT_EQ(executed.load(), 2047u);
-  EXPECT_EQ(sum.load(), 2047u * 2048u / 2);
-}
-
-// Single-worker drain degrades to a plain LIFO loop and must terminate
-// without any other thread to wake it.
-TEST(ParseParallel, WorkStealingPoolSingleWorker) {
-  WorkStealingPool pool(1);
-  std::uint64_t executed = 0;
-  for (std::uint64_t i = 0; i < 100; ++i) pool.push(0, ParseWork{i + 1, nullptr});
-  SchedStats stats{};
-  pool.drain(0, [&](const ParseWork&) { ++executed; }, &stats);
-  EXPECT_EQ(executed, 100u);
-  EXPECT_TRUE(pool.idle());
-  EXPECT_EQ(stats.steals, 0u);
+  const std::string ref = parse_dump(st, 1);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " rep=" << rep);
+      EXPECT_EQ(parse_dump(st, threads), ref);
+    }
+  }
 }
 
 }  // namespace
