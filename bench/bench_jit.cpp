@@ -1,7 +1,9 @@
 // JIT tier benchmark: interpreter vs. compiled-code throughput on the hot-
-// loop workloads, plus the tier's own economics — compile latency, chain
-// hit rate (block-to-block transfers that stayed inside a session), jalr
-// dispatch hit rate, and eviction counts. Writes BENCH_jit.json.
+// loop workloads, for the Auto backend (x64 templates where available) and
+// the portable threaded-code backend, plus the tier's own economics:
+// compile latency, chain hit rate (block-to-block transfers that stayed
+// inside a session), jalr dispatch hit rate, and eviction counts. Writes
+// BENCH_jit.json.
 //
 // Hand-rolled timing (steady_clock around Machine::run) rather than
 // google-benchmark: each entry is one pair of long deterministic runs and
@@ -35,12 +37,10 @@ struct Timed {
   std::uint64_t instret = 0;
   emu::Machine m;  // kept alive so stats can be read after the run
 
-  Timed(const symtab::Symtab& bin, bool jit) {
-#if RVDYN_JIT_ENABLED
+  Timed(const symtab::Symtab& bin, bool jit,
+        emu::jit::BackendKind backend = emu::jit::BackendKind::Auto) {
     m.set_jit_enabled(jit);
-#else
-    (void)jit;
-#endif
+    m.jit_config().backend = backend;
     m.load(bin);
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = m.run(4'000'000'000ULL);
@@ -87,68 +87,79 @@ int main(int argc, char** argv) {
   };
 
   bench::JsonWriter out("BENCH_jit.json");
-  std::printf("%-12s %12s %12s %7s %9s %8s %8s\n", "workload", "interp_ips",
-              "jit_ips", "speedup", "jit_cover", "chain%", "disp%");
+  std::printf("%-12s %12s %12s %7s %12s %7s %9s %8s %8s\n", "workload",
+              "interp_ips", "jit_ips", "speedup", "threaded_ips", "speedup",
+              "jit_cover", "chain%", "disp%");
   for (const auto& w : workloads) {
     const auto bin = assembler::assemble(w.src);
     Timed interp(bin, /*jit=*/false);
     Timed jit(bin, /*jit=*/true);
-    if (interp.instret != jit.instret) {
-      std::fprintf(stderr, "%s: instret mismatch interp=%llu jit=%llu\n",
-                   w.name, static_cast<unsigned long long>(interp.instret),
-                   static_cast<unsigned long long>(jit.instret));
+    Timed threaded(bin, /*jit=*/true, emu::jit::BackendKind::Threaded);
+    for (const Timed* t : {&jit, &threaded}) {
+      if (t->instret != interp.instret) {
+        std::fprintf(stderr, "%s: instret mismatch interp=%llu %s=%llu\n",
+                     w.name, static_cast<unsigned long long>(interp.instret),
+                     t == &jit ? "jit" : "threaded",
+                     static_cast<unsigned long long>(t->instret));
+        return 1;
+      }
+    }
+    if (threaded.m.jit_tier() == nullptr ||
+        std::string(threaded.m.jit_tier()->backend_name()) != "threaded") {
+      std::fprintf(stderr, "%s: threaded backend did not engage\n", w.name);
       return 1;
     }
+    const double speedup =
+        interp.seconds > 0 ? interp.seconds / jit.seconds : 0;
+    const double threaded_speedup =
+        interp.seconds > 0 ? interp.seconds / threaded.seconds : 0;
+    const emu::jit::Stats s = jit.m.jit_stats();
+    const double jit_cover = jit.instret
+                                 ? static_cast<double>(s.insns_retired) /
+                                       static_cast<double>(jit.instret)
+                                 : 0;
+    // Of all compiled-block entries, how many arrived via an in-session
+    // transfer (chained edge or dispatch hit) rather than a fresh session?
+    const double chain_rate =
+        s.blocks_entered ? static_cast<double>(s.blocks_entered - s.sessions) /
+                               static_cast<double>(s.blocks_entered)
+                         : 0;
+    const double disp_total =
+        static_cast<double>(s.dispatch_hits + s.exit_dispatch);
+    const double disp_rate =
+        disp_total > 0 ? s.dispatch_hits / disp_total : 0;
     std::vector<std::pair<std::string, double>> metrics = {
         {"interp_insns_per_s", interp.ips()},
         {"jit_insns_per_s", jit.ips()},
-        {"speedup", interp.seconds > 0 ? interp.seconds / jit.seconds : 0},
+        {"speedup", speedup},
+        {"threaded_insns_per_s", threaded.ips()},
+        {"threaded_speedup", threaded_speedup},
         {"insns", static_cast<double>(interp.instret)},
+        {"jit_coverage", jit_cover},
+        {"blocks_compiled", static_cast<double>(s.blocks_compiled)},
+        {"insns_compiled", static_cast<double>(s.insns_compiled)},
+        {"compile_ms_total", s.compile_ns / 1e6},
+        {"compile_us_per_block",
+         s.blocks_compiled ? s.compile_ns / 1e3 / s.blocks_compiled : 0},
+        {"code_bytes", static_cast<double>(s.code_bytes)},
+        {"chain_hit_rate", chain_rate},
+        {"dispatch_hit_rate", disp_rate},
+        {"chains_installed", static_cast<double>(s.chains_installed)},
+        {"evict_write_code", static_cast<double>(s.evict_write_code)},
+        {"evict_fencei", static_cast<double>(s.evict_fencei)},
+        {"evict_capacity", static_cast<double>(s.evict_capacity)},
+        {"evict_config", static_cast<double>(s.evict_config)},
     };
-    double jit_cover = 0, chain_rate = 0, disp_rate = 0;
-#if RVDYN_JIT_ENABLED
-    const emu::jit::Stats s = jit.m.jit_stats();
-    jit_cover = jit.instret ? static_cast<double>(s.insns_retired) /
-                                  static_cast<double>(jit.instret)
-                            : 0;
-    // Of all compiled-block entries, how many arrived via an in-session
-    // transfer (chained edge or dispatch hit) rather than a fresh session?
-    chain_rate = s.blocks_entered
-                     ? static_cast<double>(s.blocks_entered - s.sessions) /
-                           static_cast<double>(s.blocks_entered)
-                     : 0;
-    const double disp_total =
-        static_cast<double>(s.dispatch_hits + s.exit_dispatch);
-    disp_rate = disp_total > 0 ? s.dispatch_hits / disp_total : 0;
-    metrics.insert(
-        metrics.end(),
-        {
-            {"jit_coverage", jit_cover},
-            {"blocks_compiled", static_cast<double>(s.blocks_compiled)},
-            {"insns_compiled", static_cast<double>(s.insns_compiled)},
-            {"compile_ms_total", s.compile_ns / 1e6},
-            {"compile_us_per_block",
-             s.blocks_compiled ? s.compile_ns / 1e3 / s.blocks_compiled : 0},
-            {"code_bytes", static_cast<double>(s.code_bytes)},
-            {"chain_hit_rate", chain_rate},
-            {"dispatch_hit_rate", disp_rate},
-            {"chains_installed", static_cast<double>(s.chains_installed)},
-            {"evict_write_code", static_cast<double>(s.evict_write_code)},
-            {"evict_fencei", static_cast<double>(s.evict_fencei)},
-            {"evict_capacity", static_cast<double>(s.evict_capacity)},
-            {"evict_config", static_cast<double>(s.evict_config)},
-        });
     if (jit.m.jit_tier())
       metrics.push_back({"backend_x64",
                          std::string(jit.m.jit_tier()->backend_name()) == "x64"
                              ? 1.0
                              : 0.0});
-#endif
     out.add(w.name, metrics);
-    std::printf("%-12s %12.3g %12.3g %6.2fx %8.1f%% %7.1f%% %7.1f%%\n",
-                w.name, interp.ips(), jit.ips(),
-                interp.seconds > 0 ? interp.seconds / jit.seconds : 0,
-                100 * jit_cover, 100 * chain_rate, 100 * disp_rate);
+    std::printf(
+        "%-12s %12.3g %12.3g %6.2fx %12.3g %6.2fx %8.1f%% %7.1f%% %7.1f%%\n",
+        w.name, interp.ips(), jit.ips(), speedup, threaded.ips(),
+        threaded_speedup, 100 * jit_cover, 100 * chain_rate, 100 * disp_rate);
   }
   if (!out.write()) {
     std::fprintf(stderr, "failed to write BENCH_jit.json\n");
@@ -164,9 +175,7 @@ int main(int argc, char** argv) {
       parse::CodeObject co(bin);
       co.parse();
       emu::Machine m;
-#if RVDYN_JIT_ENABLED
       m.set_jit_enabled(true);
-#endif
       m.load(bin);
       if (postmortem) m.enable_block_trace(true);
       obs::Sampler sampler(m, co);

@@ -31,9 +31,7 @@ using namespace rvdyn;
 namespace {
 
 double run_timed(emu::Machine& m, const symtab::Symtab& bin) {
-#if RVDYN_JIT_ENABLED
   m.set_jit_enabled(true);
-#endif
   m.load(bin);
   const auto t0 = std::chrono::steady_clock::now();
   const auto r = m.run(4'000'000'000ULL);

@@ -63,21 +63,14 @@ inline void warn_if_degraded() {
 // changes that move the numbers).
 
 /// Run-provenance block embedded into every BENCH_*.json: which commit and
-/// build type produced the numbers, how many entries ran, and (when the obs
-/// hooks are compiled in) a final metrics snapshot.
+/// build type produced the numbers, how many entries ran, and a final
+/// metrics snapshot.
 inline std::string meta_json(std::size_t entries_run) {
   std::string s = "{\"git_sha\": \"" RVDYN_GIT_SHA
                   "\", \"build_type\": \"" RVDYN_BUILD_TYPE "\"";
   s += ", \"degraded\": ";
   s += build_is_degraded() ? "true" : "false";
-  s += ", \"obs\": ";
-#if RVDYN_OBS_ENABLED
-  s += "true";
-#else
-  s += "false";
-#endif
   s += ", \"entries\": " + std::to_string(entries_run);
-#if RVDYN_OBS_ENABLED
   s += ", \"metrics\": " + obs::Registry::instance().to_json();
   // Per-histogram latency digest so a committed BENCH_*.json carries tail
   // behaviour, not just totals.
@@ -99,7 +92,6 @@ inline std::string meta_json(std::size_t entries_run) {
     }
     s += "}";
   }
-#endif
   s += "}";
   return s;
 }

@@ -156,10 +156,8 @@ int main(int argc, char** argv) {
 
   proc->machine().publish_metrics();
   obs::TraceSink::instance().set_enabled(false);
-#if RVDYN_OBS_ENABLED
   std::printf("\nmetrics snapshot:\n%s\n",
               obs::Registry::instance().to_json().c_str());
   std::printf("\ntimeline:\n%s", obs::TraceSink::instance().text().c_str());
-#endif
   return 0;
 }

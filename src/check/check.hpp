@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "emu/jit/jit.hpp"
 #include "isa/instruction.hpp"
 
 namespace rvdyn::check {
@@ -115,11 +116,6 @@ RoundTripReport run_roundtrip(const RoundTripOptions& opts = {});
 // JIT-tier differential oracle
 // ---------------------------------------------------------------------------
 
-/// Which emu::jit backend the subject machine should use. Mirrors
-/// emu::jit::BackendKind without pulling jit headers into check.hpp, so
-/// this header stays valid under -DRVDYN_JIT=OFF builds.
-enum class JitDiffBackend { Auto, X64, Threaded };
-
 struct JitDiffOptions {
   std::uint64_t seed = 0x5eedULL;
   /// Compile on the second execution of a block so even short workloads
@@ -136,7 +132,8 @@ struct JitDiffOptions {
   /// template (forwarded to emu::jit::Config::sabotage). The oracle is
   /// expected to report divergences when set.
   isa::Mnemonic sabotage = isa::Mnemonic::kInvalid;
-  JitDiffBackend backend = JitDiffBackend::Auto;
+  /// Backend of the subject machine.
+  emu::jit::BackendKind backend = emu::jit::BackendKind::Auto;
   unsigned max_recorded = 20;
 };
 
@@ -147,9 +144,6 @@ struct JitDiffReport {
   std::uint64_t profile_pcs = 0;    ///< per-pc profile entries compared
   std::uint64_t divergence_count = 0;
   std::vector<Divergence> divergences;
-  /// False when the build has the JIT compiled out (-DRVDYN_JIT=OFF):
-  /// nothing was compared and ok() is vacuously true.
-  bool jit_available = false;
   bool ok() const { return divergence_count == 0; }
 };
 

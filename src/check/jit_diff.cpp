@@ -31,19 +31,12 @@ std::string hex(std::uint64_t v) {
 JitDiffReport run_jit_diff(const std::string& name, const std::string& asm_src,
                            const JitDiffOptions& opts) {
   JitDiffReport rep;
-#if !RVDYN_JIT_ENABLED
-  (void)name;
-  (void)asm_src;
-  (void)opts;
-  return rep;  // jit_available stays false; vacuously ok
-#else
   auto diverge = [&](const std::string& what) {
     ++rep.divergence_count;
     if (rep.divergences.size() < opts.max_recorded)
       rep.divergences.push_back(
           Divergence{"jit-diff", name, opts.seed, 0, what});
   };
-  rep.jit_available = true;
   const symtab::Symtab bin = assembler::assemble(asm_src);
 
   // Reference: interpreter only.
@@ -58,15 +51,7 @@ JitDiffReport run_jit_diff(const std::string& name, const std::string& asm_src,
   emu::Machine m;
   m.jit_config().hot_threshold = opts.hot_threshold;
   m.jit_config().sabotage = opts.sabotage;
-  switch (opts.backend) {
-    case JitDiffBackend::X64:
-      m.jit_config().backend = emu::jit::BackendKind::X64;
-      break;
-    case JitDiffBackend::Threaded:
-      m.jit_config().backend = emu::jit::BackendKind::Threaded;
-      break;
-    case JitDiffBackend::Auto: break;
-  }
+  m.jit_config().backend = opts.backend;
   m.enable_pc_profile(opts.with_profile);
   m.load(bin);
 
@@ -154,7 +139,6 @@ JitDiffReport run_jit_diff(const std::string& name, const std::string& asm_src,
   RVDYN_OBS_COUNT_N("rvdyn.check.jit.profile_pcs", rep.profile_pcs);
   RVDYN_OBS_COUNT_N("rvdyn.check.jit.divergences", rep.divergence_count);
   return rep;
-#endif  // RVDYN_JIT_ENABLED
 }
 
 }  // namespace rvdyn::check

@@ -219,7 +219,6 @@ struct Runtime {
 
 }  // namespace rvdyn::emu::jit
 
-#if RVDYN_JIT_ENABLED
 // C-ABI slow paths called from emitted x64 code (SysV calling convention).
 extern "C" {
 /// Load `size` bytes at `addr`; bit 8 of `size_sign` set = sign-extend.
@@ -236,4 +235,3 @@ void rvdyn_jit_value(rvdyn::emu::jit::JitState* st, const void* insn,
 void rvdyn_jit_profile(rvdyn::emu::jit::JitState* st, const void* meta,
                        std::uint64_t taken);
 }
-#endif

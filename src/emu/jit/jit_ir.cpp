@@ -1,7 +1,5 @@
 #include "emu/jit/jit_ir.hpp"
 
-#if RVDYN_JIT_ENABLED
-
 #include "emu/machine.hpp"
 #include "isa/op_program.hpp"
 
@@ -93,5 +91,3 @@ bool build_block_ir(const CycleModel& model, std::uint64_t start,
 }
 
 }  // namespace rvdyn::emu::jit
-
-#endif  // RVDYN_JIT_ENABLED

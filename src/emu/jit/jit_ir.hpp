@@ -7,8 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "emu/jit/jit.hpp"        // PcCharge lives with the Tier interface
-#include "emu/jit/jit_state.hpp"  // supplies the RVDYN_JIT_ENABLED default
+#include "emu/jit/jit.hpp"  // PcCharge lives with the Tier interface
 #include "isa/instruction.hpp"
 
 namespace rvdyn::emu {

@@ -3,8 +3,6 @@
 // instructions without a template.
 #include "emu/jit/jit.hpp"
 
-#if RVDYN_JIT_ENABLED
-
 #include "common/bits.hpp"
 #include "emu/jit/jit_ir.hpp"
 #include "emu/machine.hpp"
@@ -95,5 +93,3 @@ extern "C" void rvdyn_jit_profile(JitState* st, const void* meta,
   Runtime::profile_block(
       m, *static_cast<const rvdyn::emu::jit::BlockIR*>(meta), taken != 0);
 }
-
-#endif  // RVDYN_JIT_ENABLED

@@ -14,12 +14,6 @@
 #include <cstdint>
 #include <type_traits>
 
-// Driven by the RVDYN_JIT CMake option (OFF passes RVDYN_JIT_ENABLED=0 on
-// the command line); defaults to ON.
-#ifndef RVDYN_JIT_ENABLED
-#define RVDYN_JIT_ENABLED 1
-#endif
-
 namespace rvdyn::emu::jit {
 
 /// Direct-mapped software-TLB geometry: {guest page number -> host page

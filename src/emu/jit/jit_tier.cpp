@@ -1,8 +1,6 @@
 // Tier: the backend-neutral compile/execute/invalidate orchestration.
 #include "emu/jit/jit.hpp"
 
-#if RVDYN_JIT_ENABLED
-
 #include <chrono>
 #include <cstring>
 
@@ -147,7 +145,6 @@ const BlockInfo* Tier::block_info(std::uint64_t pc) const {
 }
 
 void Tier::publish_metrics() {
-#if RVDYN_OBS_ENABLED
   const Stats& c = stats_;
   const Stats& p = published_;
   RVDYN_OBS_COUNT_N("rvdyn.emu.jit.blocks_compiled",
@@ -191,9 +188,6 @@ void Tier::publish_metrics() {
   RVDYN_OBS_GAUGE("rvdyn.emu.jit.live_blocks",
                   static_cast<std::uint64_t>(live_blocks_));
   published_ = stats_;
-#endif
 }
 
 }  // namespace rvdyn::emu::jit
-
-#endif  // RVDYN_JIT_ENABLED

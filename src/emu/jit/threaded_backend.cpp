@@ -5,8 +5,6 @@
 // (non-x86 ISAs, or W^X policies that refuse an RWX arena).
 #include "emu/jit/backend.hpp"
 
-#if RVDYN_JIT_ENABLED
-
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -483,5 +481,3 @@ std::unique_ptr<Tier> make_threaded_tier(const Config& cfg) {
 }
 
 }  // namespace rvdyn::emu::jit
-
-#endif  // RVDYN_JIT_ENABLED

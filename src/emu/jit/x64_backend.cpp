@@ -11,7 +11,7 @@
 // 16-byte stack alignment (the thunk's one push re-aligns after `call`).
 #include "emu/jit/backend.hpp"
 
-#if RVDYN_JIT_ENABLED && defined(__x86_64__) && defined(__linux__)
+#if defined(__x86_64__) && defined(__linux__)
 
 #include <sys/mman.h>
 
@@ -790,7 +790,7 @@ std::unique_ptr<Tier> make_x64_tier(const Config& cfg) {
 
 }  // namespace rvdyn::emu::jit
 
-#else  // non-x86-64 host, or JIT compiled out
+#else  // non-x86-64 host
 
 namespace rvdyn::emu::jit {
 bool x64_backend_available() { return false; }

@@ -74,7 +74,6 @@ std::uint64_t fcvt_to_int(F v) {
 Machine::~Machine() { publish_metrics(); }
 
 void Machine::publish_metrics() {
-#if RVDYN_OBS_ENABLED
   const CacheStats& c = cstats_;
   const CacheStats& p = published_;
   RVDYN_OBS_COUNT_N("rvdyn.emu.icache.hit", c.icache_hits - p.icache_hits);
@@ -96,13 +95,9 @@ void Machine::publish_metrics() {
   RVDYN_OBS_GAUGE("rvdyn.emu.cycles", st_.cycles);
   published_ = cstats_;
   decoder_.publish_stats();
-#if RVDYN_JIT_ENABLED
   if (jit_) jit_->publish_metrics();
-#endif
-#endif
 }
 
-#if RVDYN_JIT_ENABLED
 void Machine::set_jit_enabled(bool on) {
   if (!on && jit_) {
     jit_->publish_metrics();
@@ -112,7 +107,6 @@ void Machine::set_jit_enabled(bool on) {
   }
   jit_enabled_ = on;
 }
-#endif
 
 void Machine::load(const symtab::Symtab& binary) {
   RVDYN_OBS_SPAN("rvdyn.emu.load");
@@ -133,7 +127,6 @@ void Machine::load(const symtab::Symtab& binary) {
 }
 
 void Machine::flush_code_caches() {
-#if RVDYN_JIT_ENABLED
   // Compiled blocks are invalidated by the same events that flush the
   // interpreter caches; the cause carries over for eviction attribution.
   if (jit_) {
@@ -143,19 +136,15 @@ void Machine::flush_code_caches() {
       cause = jit::InvalidateCause::WriteCode;
     jit_->invalidate_all(cause);
   }
-#endif
   for (ICacheLine& line : icache_) line.tag = ~0ULL;
   // Attribute the dropped block entries to whichever event forced the
   // flush; a fence.i wins because the full flush is architecturally its.
-  RVDYN_OBS_STAT({
-    const std::uint64_t dropped = bcache_.size();
-    if (flush_pending_ & kFlushFenceI) {
-      cstats_.evict_fencei += dropped;
-      ++cstats_.fencei_flushes;
-    } else if (flush_pending_ & kFlushWriteCode) {
-      cstats_.evict_write_code += dropped;
-    }
-  });
+  if (flush_pending_ & kFlushFenceI) {
+    cstats_.evict_fencei += bcache_.size();
+    ++cstats_.fencei_flushes;
+  } else if (flush_pending_ & kFlushWriteCode) {
+    cstats_.evict_write_code += bcache_.size();
+  }
   bcache_.clear();
   flush_pending_ = 0;
 }
@@ -173,12 +162,10 @@ void Machine::evict_code_range(std::uint64_t lo, std::uint64_t hi) {
     ICacheLine& line = icache_[(a >> 1) & (kICacheLines - 1)];
     if (line.tag == a) line.tag = ~0ULL;
   }
-#if RVDYN_JIT_ENABLED
   // Precisely drop (and unchain) compiled blocks overlapping the range;
   // safe even mid-run because compiled code is never executing while the
   // debugger surface runs.
   if (jit_) jit_->invalidate_range(lo, hi, jit::InvalidateCause::WriteCode);
-#endif
   if (in_block_) {
     // Patching from inside block execution (e.g. a trace hook): erasing
     // bcache_ here would destroy the vector being iterated, so defer to
@@ -188,7 +175,7 @@ void Machine::evict_code_range(std::uint64_t lo, std::uint64_t hi) {
   }
   for (auto it = bcache_.begin(); it != bcache_.end();) {
     if (it->second.start < hi && it->second.end > lo) {
-      RVDYN_OBS_STAT(++cstats_.evict_write_code);
+      ++cstats_.evict_write_code;
       it = bcache_.erase(it);
     } else {
       ++it;
@@ -263,12 +250,12 @@ Machine::RestoreStats Machine::reset_to_snapshot(const Snapshot& s) {
 bool Machine::fetch(std::uint64_t pc, Instruction* out, unsigned* len) {
   ICacheLine& line = icache_[(pc >> 1) & (kICacheLines - 1)];
   if (line.tag == pc) {
-    RVDYN_OBS_STAT(++cstats_.icache_hits);
+    ++cstats_.icache_hits;
     *out = line.insn;
     *len = line.len;
     return line.len != 0;
   }
-  RVDYN_OBS_STAT(++cstats_.icache_misses);
+  ++cstats_.icache_misses;
   // Fetch without mapping pages as a side effect: a compressed instruction
   // in the last two mapped bytes of a page must decode, and the bytes past
   // it must stay unmapped.
@@ -327,10 +314,10 @@ void Machine::charge(const Instruction& insn, bool taken_branch) {
 Machine::BlockEntry* Machine::lookup_or_build_block(std::uint64_t pc) {
   const auto it = bcache_.find(pc);
   if (it != bcache_.end()) {
-    RVDYN_OBS_STAT(++cstats_.bcache_hits);
+    ++cstats_.bcache_hits;
     return &it->second;
   }
-  RVDYN_OBS_STAT(++cstats_.bcache_misses);
+  ++cstats_.bcache_misses;
   BlockEntry blk;
   blk.start = pc;
   std::uint64_t a = pc;
@@ -349,10 +336,10 @@ Machine::BlockEntry* Machine::lookup_or_build_block(std::uint64_t pc) {
   if (blk.insns.empty()) return nullptr;
   blk.end = a;
   if (bcache_.size() >= kMaxBlocks) {
-    RVDYN_OBS_STAT(cstats_.evict_capacity += bcache_.size());
+    cstats_.evict_capacity += bcache_.size();
     bcache_.clear();
   }
-  RVDYN_OBS_STAT(++cstats_.blocks_built);
+  ++cstats_.blocks_built;
   const auto ins = bcache_.emplace(pc, std::move(blk)).first;
   return &ins->second;
 }
@@ -361,16 +348,13 @@ StopReason Machine::run(std::uint64_t max_steps) {
   RVDYN_OBS_SPAN("rvdyn.emu.run");
   stop_ = StopReason::Running;
   std::uint64_t remaining = max_steps;
-#if RVDYN_JIT_ENABLED
   // Compiled code bypasses the per-insn hook/watchpoint checks, so the JIT
   // stands down entirely whenever either is active.
   const bool jit_ok =
       jit_enabled_ && trace_ == nullptr && watchpoints_.empty();
-#endif
   while (remaining > 0) {
     if (flush_pending_) flush_code_caches();
     std::uint64_t slice = remaining;
-#if RVDYN_OBS_ENABLED
     // Exact-budget sampling: fire the hook with instret exactly on its
     // target, then cap this iteration's slice at the distance to the next
     // target. Blocks (compiled or cached) that would overrun the cap fall
@@ -383,8 +367,6 @@ StopReason Machine::run(std::uint64_t max_steps) {
       }
       slice = std::min(slice, next_sample_ - st_.instret);
     }
-#endif
-#if RVDYN_JIT_ENABLED
     if (jit_ok && jit_ && jit_->has_code()) {
       const std::uint64_t session_pc = st_.pc;
       const std::uint64_t done = jit_->execute(*this, slice);
@@ -394,10 +376,8 @@ StopReason Machine::run(std::uint64_t max_steps) {
         continue;
       }
     }
-#endif
     BlockEntry* blk = lookup_or_build_block(st_.pc);
     if (blk != nullptr && blk->insns.size() <= slice) {
-#if RVDYN_JIT_ENABLED
       if (jit_ok) {
         if (blk->exec_count < jit_cfg_.hot_threshold) {
           ++blk->exec_count;
@@ -409,11 +389,10 @@ StopReason Machine::run(std::uint64_t max_steps) {
           if (jit_->compile(*this, blk->start, blk->insns)) continue;
         }
       }
-#endif
       // Execute the whole straight-line run without per-instruction
       // fetch/dispatch. Only the last instruction can redirect pc, so each
       // iteration resumes exactly where the next cached insn was decoded.
-      RVDYN_OBS_STAT(++cstats_.blocks_entered);
+      ++cstats_.blocks_entered;
       trace_block(blk->start);
       in_block_ = true;
       for (const Instruction& insn : blk->insns) {

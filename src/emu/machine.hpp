@@ -20,8 +20,6 @@
 #include "emu/jit/jit_state.hpp"
 #include "emu/memory.hpp"
 #include "isa/decoder.hpp"
-#include "obs/metrics.hpp"  // header-only; resolves RVDYN_OBS_ENABLED for
-                            // the inline trace_block/sample-hook gates
 #include "symtab/symtab.hpp"
 
 namespace rvdyn::emu {
@@ -108,8 +106,7 @@ class Machine {
   std::uint64_t instret() const { return st_.instret; }
   std::uint64_t cycles() const { return st_.cycles; }
 
-  /// Decoded-code cache traffic (observability builds only; all zero when
-  /// RVDYN_OBS_ENABLED=0). Evictions are attributed to their cause so
+  /// Decoded-code cache traffic. Evictions are attributed to their cause so
   /// debugger patching churn (write_code), guest self-modification
   /// (fence.i) and capacity pressure can be told apart.
   struct CacheStats {
@@ -128,8 +125,7 @@ class Machine {
 
   /// The emulator-side "hardware" counter file (paper §4's perf-counter
   /// surface): architectural counters plus the cache traffic a real PMU
-  /// would expose. Reads are always valid; the cache fields mirror
-  /// cache_stats() and are zero in RVDYN_OBS=OFF builds.
+  /// would expose. The cache fields mirror cache_stats().
   struct HwCounterFile {
     std::uint64_t instret = 0;
     std::uint64_t cycles = 0;
@@ -165,7 +161,7 @@ class Machine {
 
   /// Push the cache/decode tallies accumulated since the last publish into
   /// obs::Registry (`rvdyn.emu.*`, `rvdyn.isa.*`) and set the instret /
-  /// cycles gauges. No-op in RVDYN_OBS=OFF builds; also runs at destruction.
+  /// cycles gauges. Also runs at destruction.
   void publish_metrics();
   /// Virtual nanoseconds elapsed (cycles / hz).
   std::uint64_t virtual_ns() const {
@@ -200,8 +196,7 @@ class Machine {
   /// same (instret, pc, registers, memory) no matter which tier executed
   /// the preceding instructions: profiles sampled at JIT on and off are
   /// byte-identical. The JIT stays engaged; this is what makes sampling
-  /// affordable where the per-insn TraceHook is not. Never fires in
-  /// RVDYN_OBS=OFF builds (the run-loop checks compile away).
+  /// affordable where the per-insn TraceHook is not.
   using SampleHook = std::function<void(Machine&)>;
   void set_sample_hook(std::uint64_t interval, SampleHook hook) {
     sample_interval_ = interval == 0 ? 1 : interval;
@@ -218,8 +213,7 @@ class Machine {
   /// When enabled, run() records every dispatch target it executes from —
   /// interpreted block entries, JIT session entries, single-step pcs — with
   /// the instret at entry. A trap handler reads back the last-K control-flow
-  /// positions that led into the fault. Compiled out (always empty) in
-  /// RVDYN_OBS=OFF builds.
+  /// positions that led into the fault.
   struct BlockTraceEntry {
     std::uint64_t pc = 0;
     std::uint64_t instret = 0;
@@ -289,7 +283,6 @@ class Machine {
   };
   const WatchHit& watch_hit() const { return watch_hit_; }
 
-#if RVDYN_JIT_ENABLED
   // --- JIT tier (compiled-code execution engine behind run()) ---
   /// Tier configuration. Changes apply to future compiles; the tier itself
   /// is created lazily on the first hotness-threshold crossing. To force a
@@ -301,7 +294,6 @@ class Machine {
   const jit::Tier* jit_tier() const { return jit_.get(); }
   /// Tier statistics (zeroes before the tier exists).
   jit::Stats jit_stats() const { return jit_ ? jit_->stats() : jit::Stats{}; }
-#endif
 
   // Stack layout constants.
   static constexpr std::uint64_t kStackTop = 0x7f000000;
@@ -392,11 +384,9 @@ class Machine {
   /// re-decode), which only costs a redundant sweep, never a stale block.
   std::unordered_set<std::uint64_t> code_pages_;
 
-#if RVDYN_JIT_ENABLED
   jit::Config jit_cfg_;
   std::unique_ptr<jit::Tier> jit_;  ///< created lazily on first hot block
   bool jit_enabled_ = true;
-#endif
 
   struct Watchpoint {
     unsigned id;
@@ -419,14 +409,10 @@ class Machine {
   std::size_t block_trace_next_ = 0;
   BlockTraceEntry block_trace_[kBlockTraceCap];
   void trace_block(std::uint64_t pc) {
-#if RVDYN_OBS_ENABLED
     if (!block_trace_on_) return;
     block_trace_[block_trace_next_] = {pc, st_.instret};
     block_trace_next_ = (block_trace_next_ + 1) % kBlockTraceCap;
     ++block_trace_count_;
-#else
-    (void)pc;
-#endif
   }
 
   std::vector<Watchpoint> watchpoints_;

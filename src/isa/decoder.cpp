@@ -184,22 +184,17 @@ Decoder::Decoder(ExtensionSet profile) : profile_(profile) {
 Decoder::~Decoder() { publish_stats(); }
 
 void Decoder::publish_stats() const {
-#if RVDYN_OBS_ENABLED
   const DecodeStats& s = dstats_;
-  if (s.fast32 | s.fast16 | s.fail32 | s.fail16 | s.linear32 | s.linear16) {
+  if (s.fast32 | s.fast16 | s.fail32 | s.fail16) {
     RVDYN_OBS_COUNT_N("rvdyn.isa.decode32.fast", s.fast32);
     RVDYN_OBS_COUNT_N("rvdyn.isa.decode16.fast", s.fast16);
     RVDYN_OBS_COUNT_N("rvdyn.isa.decode32.fail", s.fail32);
     RVDYN_OBS_COUNT_N("rvdyn.isa.decode16.fail", s.fail16);
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode32.linear", s.linear32);
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode16.linear", s.linear16);
     dstats_ = DecodeStats{};
   }
-#endif
 }
 
 bool Decoder::decode32_linear(std::uint32_t word, Instruction* out) const {
-  RVDYN_OBS_STAT(++dstats_.linear32);
   const auto& bucket = buckets().by_opcode[word & 0x7f];
   for (const OpcodeInfo* info : bucket) {
     if ((word & info->mask) != info->match) continue;
@@ -226,25 +221,25 @@ bool Decoder::decode32(std::uint32_t word, Instruction* out) const {
     if (!profile_.has(e.ext)) continue;
     *out = e.proto;
     detail::patch_decoded(e, word, out);
-    RVDYN_OBS_STAT(++dstats_.fast32);
+    ++dstats_.fast32;
     return true;
   }
-  RVDYN_OBS_STAT(++dstats_.fail32);
+  ++dstats_.fail32;
   return false;
 }
 
 bool Decoder::decode16(std::uint16_t half, Instruction* out) const {
   if (!profile_.has(Extension::C)) {
-    RVDYN_OBS_STAT(++dstats_.fail16);
+    ++dstats_.fail16;
     return false;
   }
   const Instruction& e = detail::rvc_table()[half];
   if (!e.valid() || !profile_.has(e.extension())) {
-    RVDYN_OBS_STAT(++dstats_.fail16);
+    ++dstats_.fail16;
     return false;
   }
   *out = e;
-  RVDYN_OBS_STAT(++dstats_.fast16);
+  ++dstats_.fast16;
   return true;
 }
 

@@ -36,9 +36,7 @@ namespace detail {
 struct NoTableWarm {};
 }  // namespace detail
 
-/// Per-decoder traffic tallies (observability builds only; always zero when
-/// RVDYN_OBS_ENABLED=0). Fast = the table dispatch path, linear = the
-/// reference match/mask scan kept for differential testing. Plain non-atomic
+/// Per-decoder traffic tallies of the table dispatch path. Plain non-atomic
 /// fields so the hot decode loop pays one increment, flushed in bulk into
 /// obs::Registry by publish_stats() / the destructor.
 struct DecodeStats {
@@ -46,8 +44,6 @@ struct DecodeStats {
   std::uint64_t fast16 = 0;    ///< decode16 table-path successes
   std::uint64_t fail32 = 0;    ///< 32-bit words that did not decode
   std::uint64_t fail16 = 0;    ///< 16-bit halves that did not decode
-  std::uint64_t linear32 = 0;  ///< reference decode32_linear calls
-  std::uint64_t linear16 = 0;  ///< reference decode16_linear calls
 };
 
 class Decoder {
@@ -72,7 +68,7 @@ class Decoder {
 
   ExtensionSet profile() const { return profile_; }
 
-  /// This decoder's unflushed tallies (zeros when observability is off).
+  /// This decoder's unflushed tallies.
   const DecodeStats& decode_stats() const { return dstats_; }
 
   /// Add the tallies into the `rvdyn.isa.*` registry counters and zero the

@@ -294,7 +294,6 @@ bool decode_q2(std::uint16_t h, const Decoder& dec, Instruction* out) {
 }  // namespace
 
 bool Decoder::decode16_linear(std::uint16_t half, Instruction* out) const {
-  RVDYN_OBS_STAT(++dstats_.linear16);
   if (!profile_.has(Extension::C)) return false;
   bool ok;
   switch (half & 0x3) {

@@ -4,15 +4,14 @@
 // relaxed atomic add to an uncontended cache line; readers aggregate across
 // shards, so writers never synchronize with each other. Metric names form
 // a dotted namespace mirroring the toolkits that emit them:
-//   rvdyn.isa.*    decoder fast/slow-path traffic
+//   rvdyn.isa.*    decoder table-path decodes and failures
 //   rvdyn.emu.*    icache/block-cache hits, misses, evictions, flushes
 //   rvdyn.parse.*  per-phase timings, per-worker block/gap counts
 //   rvdyn.patch.*  snippet and relocation statistics
 //
-// All hot-path hook sites go through the RVDYN_OBS_* macros below, which
-// compile to nothing when the build sets RVDYN_OBS_ENABLED=0 (CMake option
-// RVDYN_OBS=OFF). The registry classes themselves always exist, so the ABI
-// of types embedding stats does not change between the two builds.
+// Hot-path hook sites go through the RVDYN_OBS_* macros below, which cache
+// each metric's registry handle in a function-local static so a hit costs
+// one add, not a name lookup.
 #pragma once
 
 #include <algorithm>
@@ -26,10 +25,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#ifndef RVDYN_OBS_ENABLED
-#define RVDYN_OBS_ENABLED 1
-#endif
 
 namespace rvdyn::obs {
 
@@ -437,12 +432,10 @@ class ScopedView {
 
 }  // namespace rvdyn::obs
 
-// ---- hook-site macros (compiled out when RVDYN_OBS_ENABLED=0) -------------
+// ---- hook-site macros ------------------------------------------------------
 
 #define RVDYN_OBS_CONCAT2_(a, b) a##b
 #define RVDYN_OBS_CONCAT_(a, b) RVDYN_OBS_CONCAT2_(a, b)
-
-#if RVDYN_OBS_ENABLED
 
 /// Increment counter `name` by `n`. `name` must be a string literal (the
 /// handle is a function-local static registered on first pass).
@@ -471,18 +464,3 @@ class ScopedView {
 #define RVDYN_OBS_TIMER(name)               \
   ::rvdyn::obs::ScopedTimerGauge RVDYN_OBS_CONCAT_(rvdyn_obs_timer_, \
                                                    __LINE__)(name)
-
-/// Compile a statement only in observability builds (cheap local tallies
-/// that are flushed to the registry in bulk).
-#define RVDYN_OBS_STAT(...) __VA_ARGS__
-
-#else  // !RVDYN_OBS_ENABLED
-
-#define RVDYN_OBS_COUNT_N(name, n) ((void)0)
-#define RVDYN_OBS_COUNT(name) ((void)0)
-#define RVDYN_OBS_HIST(name, v) ((void)0)
-#define RVDYN_OBS_GAUGE(name, v) ((void)0)
-#define RVDYN_OBS_TIMER(name) ((void)0)
-#define RVDYN_OBS_STAT(...) ((void)0)
-
-#endif  // RVDYN_OBS_ENABLED

@@ -37,12 +37,10 @@ void Sampler::on_sample(emu::Machine& m) {
   ++samples_;
   RVDYN_OBS_COUNT("rvdyn.obs.sampler.samples");
   const std::uint64_t pc = m.pc();
-#if RVDYN_JIT_ENABLED
   // Occupancy only — never part of the folded key (profiles must be
   // byte-identical with the tier on or off).
   if (m.jit_tier() != nullptr && m.jit_tier()->block_info(pc) != nullptr)
     ++jit_samples_;
-#endif
   std::vector<std::string> names;
   if (opts_.capture_stacks) {
     const auto frames = walker_.walk(opts_.max_depth);

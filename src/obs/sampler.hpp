@@ -26,9 +26,6 @@
 // tell which samples landed inside compiled regions (jit_samples()) —
 // occupancy is reported separately and deliberately kept OUT of the folded
 // keys, which must not differ between tiers.
-//
-// In RVDYN_OBS=OFF builds the machine hook never fires; a Sampler
-// constructs and detaches cleanly but collects nothing.
 #pragma once
 
 #include <cstdint>

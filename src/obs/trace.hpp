@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // for RVDYN_OBS_ENABLED and concat helpers
+#include "obs/metrics.hpp"  // for the concat helpers
 
 namespace rvdyn::obs {
 
@@ -235,11 +235,6 @@ class Span {
 
 }  // namespace rvdyn::obs
 
-#if RVDYN_OBS_ENABLED
 #define RVDYN_OBS_SPAN(name) \
   ::rvdyn::obs::Span RVDYN_OBS_CONCAT_(rvdyn_obs_span_, __LINE__)(name)
 #define RVDYN_OBS_INSTANT(name) ::rvdyn::obs::TraceSink::instance().instant(name)
-#else
-#define RVDYN_OBS_SPAN(name) ((void)0)
-#define RVDYN_OBS_INSTANT(name) ((void)0)
-#endif

@@ -131,19 +131,14 @@ class Parser {
     }
     lock.unlock();
     idle_ns_.fetch_add(idle_ns, std::memory_order_relaxed);
-#if RVDYN_OBS_ENABLED
     if (n_funcs) {
       const std::string prefix = "rvdyn.parse.worker." + std::to_string(widx);
       obs::Counter(prefix + ".funcs").add(n_funcs);
       obs::Counter(prefix + ".blocks").add(n_blocks);
     }
-#else
-    (void)widx;
-#endif
   }
 
   void publish_totals() const {
-#if RVDYN_OBS_ENABLED
     std::uint64_t blocks = 0, insns = 0, unresolved = 0;
     for (const auto& [a, f] : funcs_) {
       blocks += f->stats().n_blocks;
@@ -160,7 +155,6 @@ class Parser {
                       contended_.load(std::memory_order_relaxed));
     RVDYN_OBS_COUNT_N("rvdyn.parse.sched.idle_ns",
                       idle_ns_.load(std::memory_order_relaxed));
-#endif
   }
 
   void seed_entries() {

@@ -263,7 +263,6 @@ void BinaryEditor::build_plan() {
   traps_ = plan->traps;
   plan_ = std::move(plan);
 
-#if RVDYN_OBS_ENABLED
   RVDYN_OBS_COUNT_N("rvdyn.patch.snippets_inserted", stats_.snippets_inserted);
   RVDYN_OBS_COUNT_N("rvdyn.patch.snippet_insns", stats_.snippet_insns);
   RVDYN_OBS_COUNT_N("rvdyn.patch.relocated_functions",
@@ -287,7 +286,6 @@ void BinaryEditor::build_plan() {
   RVDYN_OBS_GAUGE("rvdyn.patch.data_bytes", plan_->data.bytes.size());
   RVDYN_OBS_GAUGE("rvdyn.patch.text_bytes_before_rvc",
                   stats_.reloc.bytes_before_rvc);
-#endif
 }
 
 Status BinaryEditor::commit_to(AddressSpace& space) {

@@ -10,7 +10,6 @@
 
 namespace rvdyn::patch::reloc {
 
-#if RVDYN_OBS_ENABLED
 namespace {
 // Trace events keep the name pointer past this frame; intern pass span
 // names so they have static storage like literal hook sites.
@@ -21,7 +20,6 @@ const char* intern(const std::string& s) {
   return pool.insert(s).first->c_str();
 }
 }  // namespace
-#endif
 
 CodeMover::CodeMover(std::uint64_t base, bool rvc,
                      codegen::CodeGenerator* gen,
@@ -54,7 +52,6 @@ const std::vector<std::uint8_t>& CodeMover::run() {
   pipeline.push_back(make_emit_pass());
 
   for (const auto& pass : pipeline) {
-#if RVDYN_OBS_ENABLED
     const std::string span_name =
         std::string("rvdyn.patch.pass.") + pass->name();
     const obs::Span span(intern(span_name));
@@ -65,9 +62,6 @@ const std::vector<std::uint8_t>& CodeMover::run() {
         .set(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
                 .count()));
-#else
-    pass->run(module_);
-#endif
   }
   return module_.text;
 }

@@ -1,13 +1,14 @@
 # Nested-build check: configure a second build tree with one cache setting
-# (a sanitizer, or a feature compiled out), build a list of test binaries
-# there and run each one; any failure fails the check. Run via
+# (a sanitizer), build a list of test binaries there and run each one; any
+# failure fails the check. Run via
 #   cmake -DSETTING=RVDYN_SANITIZE=thread -DTARGETS=test_obs,test_parse \
 #         -P tests/nested_check.cmake
 # (tests/CMakeLists.txt registers each configuration as a `buildcheck`
 # ctest entry).
 #
 # Variables (-D before -P):
-#   SETTING     required: one cache entry, NAME=VALUE (e.g. RVDYN_OBS=OFF)
+#   SETTING     required: one cache entry, NAME=VALUE
+#               (e.g. RVDYN_SANITIZE=address)
 #   TARGETS     required: comma-separated test targets to build and run
 #   SOURCE_DIR  repo root (default: parent of this script)
 #   BINARY_DIR  nested build dir (default: ${SOURCE_DIR}/build-nested)

@@ -5,14 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "check/check.hpp"
-#include "emu/machine.hpp"  // for the RVDYN_JIT_ENABLED default
 #include "workloads/workloads.hpp"
 
 namespace {
 
 using namespace rvdyn;
-using check::JitDiffBackend;
 using check::JitDiffOptions;
+using emu::jit::BackendKind;
 
 struct Workload {
   const char* name;
@@ -33,21 +32,19 @@ void expect_clean(const check::JitDiffReport& rep, const std::string& label) {
   EXPECT_EQ(rep.divergence_count, 0u) << label;
   for (const auto& d : rep.divergences)
     ADD_FAILURE() << label << ": " << d.subject << ": " << d.detail;
-  if (rep.jit_available) {
-    EXPECT_GT(rep.jit_steps, 0u) << label;
-    EXPECT_GT(rep.blocks_compiled, 0u) << label;
-    EXPECT_GT(rep.profile_pcs, 0u) << label;
-  }
+  EXPECT_GT(rep.jit_steps, 0u) << label;
+  EXPECT_GT(rep.blocks_compiled, 0u) << label;
+  EXPECT_GT(rep.profile_pcs, 0u) << label;
 }
 
 TEST(CheckJit, AllWorkloadsBothBackends) {
-  for (const auto bk : {JitDiffBackend::X64, JitDiffBackend::Threaded}) {
+  for (const auto bk : {BackendKind::X64, BackendKind::Threaded}) {
     for (const auto& w : suite()) {
       JitDiffOptions opts;
       opts.backend = bk;
       const auto rep = check::run_jit_diff(w.name, w.src, opts);
       expect_clean(rep, std::string(w.name) + "/" +
-                            (bk == JitDiffBackend::X64 ? "x64" : "threaded"));
+                            (bk == BackendKind::X64 ? "x64" : "threaded"));
     }
   }
 }
@@ -67,15 +64,14 @@ TEST(CheckJit, ChunkedSessionsStayExact) {
 // xor 1). If the oracle does not light up, it is not actually comparing
 // anything that matters.
 TEST(CheckJit, SabotagedTemplateIsCaught) {
-  for (const auto bk : {JitDiffBackend::X64, JitDiffBackend::Threaded}) {
+  for (const auto bk : {BackendKind::X64, BackendKind::Threaded}) {
     JitDiffOptions opts;
     opts.backend = bk;
     opts.sabotage = isa::Mnemonic::add;
     const auto rep =
         check::run_jit_diff("matmul", workloads::matmul_program(10, 1), opts);
-    if (!rep.jit_available) GTEST_SKIP() << "JIT compiled out";
     EXPECT_GT(rep.divergence_count, 0u)
-        << (bk == JitDiffBackend::X64 ? "x64" : "threaded")
+        << (bk == BackendKind::X64 ? "x64" : "threaded")
         << ": sabotaged add template produced zero divergences — the "
            "oracle is blind";
   }
@@ -88,19 +84,8 @@ TEST(CheckJit, SabotageOfUnusedMnemonicIsClean) {
   opts.sabotage = isa::Mnemonic::xor_;
   const auto rep =
       check::run_jit_diff("fib", workloads::fib_program(12), opts);
-  if (!rep.jit_available) GTEST_SKIP() << "JIT compiled out";
   EXPECT_EQ(rep.divergence_count, 0u);
   for (const auto& d : rep.divergences) ADD_FAILURE() << d.detail;
-}
-
-TEST(CheckJit, ReportsUnavailableWhenCompiledOut) {
-  const auto rep = check::run_jit_diff("fib", workloads::fib_program(8));
-#if RVDYN_JIT_ENABLED
-  EXPECT_TRUE(rep.jit_available);
-#else
-  EXPECT_FALSE(rep.jit_available);
-  EXPECT_TRUE(rep.ok());
-#endif
 }
 
 }  // namespace

@@ -176,7 +176,6 @@ TEST(EmuCache, RunMatchesStepExactly) {
   EXPECT_EQ(total, run_m.instret());
 }
 
-#if RVDYN_OBS_ENABLED
 // Evictions must be charged to their actual cause: debugger patching
 // (write_code), guest self-modification (fence.i), and capacity pressure
 // are distinct counters, so none of them silently inflates another.
@@ -247,7 +246,6 @@ TEST(EmuCache, EvictionAccounting) {
     EXPECT_EQ(m.cache_stats().evict_fencei, 0u);
   }
 }
-#endif  // RVDYN_OBS_ENABLED
 
 // A watchpoint must fire mid-block with pc positioned exactly as in
 // single-step mode (after the accessing store, before the next insn).

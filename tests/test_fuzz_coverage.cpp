@@ -111,11 +111,10 @@ TEST(FuzzCoverage, MapIsIdenticalWithAndWithoutJit) {
       ASSERT_EQ(m.run(), StopReason::Breakpoint);  // full magic match
       m.reset_to_snapshot(snap);
     }
-#if RVDYN_JIT_ENABLED
-    if (jit_on)
+    if (jit_on) {
       EXPECT_GT(m.jit_stats().blocks_entered, 0u)
           << "JIT never engaged; comparison lost its point";
-#endif
+    }
     maps[jit_on ? 1 : 0].resize(fuzz::kMapSize);
     fuzz::read_map(m, maps[jit_on ? 1 : 0].data());
   }

@@ -160,10 +160,8 @@ loop:
     std::sort(dirty.begin(), dirty.end());
     EXPECT_EQ(dirty, dirty1) << "round " << round;
   }
-#if RVDYN_JIT_ENABLED
   EXPECT_GT(m.jit_stats().blocks_entered, 0u)
       << "loop never reached compiled code; test lost its point";
-#endif
 }
 
 // Satellite regression: a snapshot restore that rewrites a code page must

@@ -16,8 +16,6 @@ using namespace rvdyn;
 using emu::Machine;
 using emu::StopReason;
 
-#if RVDYN_JIT_ENABLED
-
 using emu::jit::BackendKind;
 
 const BackendKind kBackends[] = {BackendKind::X64, BackendKind::Threaded};
@@ -298,18 +296,5 @@ TEST(Jit, BackendReportsName) {
   }
 #endif
 }
-
-#else  // !RVDYN_JIT_ENABLED
-
-TEST(Jit, CompiledOut) {
-  // -DRVDYN_JIT=OFF build: the tier is absent and the interpreter carries
-  // every workload. Nothing to assert beyond "this binary builds and runs".
-  Machine m;
-  const auto bin = assembler::assemble(workloads::fib_program(10));
-  m.load(bin);
-  EXPECT_EQ(m.run(100'000'000), StopReason::Exited);
-}
-
-#endif  // RVDYN_JIT_ENABLED
 
 }  // namespace

@@ -15,8 +15,6 @@ using namespace rvdyn;
 using emu::Machine;
 using emu::StopReason;
 
-#if RVDYN_JIT_ENABLED
-
 using emu::jit::BackendKind;
 
 const BackendKind kBackends[] = {BackendKind::X64, BackendKind::Threaded};
@@ -207,16 +205,5 @@ TEST(JitInvalidate, RepeatedPatchRecompileCycles) {
     EXPECT_GE(s.evict_write_code, 19u) << bk_name(bk);
   }
 }
-
-#else  // !RVDYN_JIT_ENABLED
-
-TEST(JitInvalidate, CompiledOut) {
-  Machine m;
-  const auto bin = assembler::assemble(workloads::fib_program(10));
-  m.load(bin);
-  EXPECT_EQ(m.run(100'000'000), StopReason::Exited);
-}
-
-#endif  // RVDYN_JIT_ENABLED
 
 }  // namespace

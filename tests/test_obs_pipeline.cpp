@@ -42,7 +42,6 @@ TEST(ObsPipeline, TraceAndMetricsCoverTheWholeStack) {
   proc->machine().publish_metrics();
   sink.set_enabled(false);
 
-#if RVDYN_OBS_ENABLED
   // The timeline covers every pipeline stage.
   const std::string json = sink.chrome_json();
   EXPECT_NE(json.find("rvdyn.asm.assemble"), std::string::npos);
@@ -68,7 +67,6 @@ TEST(ObsPipeline, TraceAndMetricsCoverTheWholeStack) {
   EXPECT_NE(metrics.find("rvdyn.emu."), std::string::npos);
   EXPECT_NE(metrics.find("rvdyn.parse."), std::string::npos);
   EXPECT_NE(metrics.find("rvdyn.patch."), std::string::npos);
-#endif
 }
 
 TEST(ObsPipeline, HwCounterFileMatchesArchitecturalState) {
@@ -82,11 +80,9 @@ TEST(ObsPipeline, HwCounterFileMatchesArchitecturalState) {
   EXPECT_EQ(hw.instret, proc->machine().instret());
   EXPECT_EQ(hw.cycles, proc->machine().cycles());
   EXPECT_GT(hw.instret, 0u);
-#if RVDYN_OBS_ENABLED
-  // Cache counters mirror cache_stats() (zero in OFF builds).
+  // Cache counters mirror cache_stats().
   EXPECT_EQ(hw.bcache_hits, proc->machine().cache_stats().bcache_hits);
   EXPECT_GT(hw.blocks_entered, 0u);
-#endif
 }
 
 }  // namespace

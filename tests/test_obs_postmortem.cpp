@@ -79,11 +79,7 @@ TEST(Postmortem, BreakpointReportHasAllSections) {
   EXPECT_NE(stack.find("outer"), std::string::npos);
   EXPECT_NE(stack.find("_start"), std::string::npos);
   // Block trace was on: the tail lists executed blocks with instret stamps.
-#if RVDYN_OBS_ENABLED
   EXPECT_NE(report.find("[instret "), std::string::npos);
-#else
-  EXPECT_NE(report.find("<empty>"), std::string::npos);
-#endif
 }
 
 TEST(Postmortem, BadFetchReportsUnmappedPc) {
@@ -142,9 +138,7 @@ TEST(Postmortem, TraceSinkTailAppearsWhenEnabled) {
   const std::string report = obs::postmortem_report(m, co, r);
   obs::TraceSink::instance().set_enabled(false);
   EXPECT_NE(report.find("--- recent trace events ---"), std::string::npos);
-#if RVDYN_OBS_ENABLED
   EXPECT_NE(report.find("test.postmortem.marker"), std::string::npos);
-#endif
 }
 
 }  // namespace

@@ -41,11 +41,7 @@ SampledRun sampled_run(const symtab::Symtab& bin, bool jit,
   parse::CodeObject co(bin);
   co.parse();
   emu::Machine m;
-#if RVDYN_JIT_ENABLED
   m.set_jit_enabled(jit);
-#else
-  (void)jit;
-#endif
   m.load(bin);
   obs::SamplerOptions opts;
   opts.interval = interval;
@@ -92,11 +88,6 @@ void expect_sampled_matches_exact(const std::string& src,
   const auto bin = assembler::assemble(src);
   const auto exact = exact_shares(bin);
   const auto run = sampled_run(bin, /*jit=*/true, interval);
-#if !RVDYN_OBS_ENABLED
-  // Hooks compiled out: nothing to compare, but nothing must crash either.
-  EXPECT_EQ(run.samples, 0u);
-  return;
-#endif
   ASSERT_GT(run.samples, 100u) << "too few samples to compare shares";
 
   std::map<std::string, double> sampled;
@@ -128,12 +119,8 @@ TEST(Sampler, FoldedOutputIsByteIdenticalAcrossRunsAndTiers) {
   EXPECT_EQ(a.folded, b.folded);  // run-to-run
   EXPECT_EQ(a.folded, c.folded);  // JIT tier on vs. off
   EXPECT_EQ(a.samples, c.samples);
-#if RVDYN_OBS_ENABLED
   EXPECT_GT(a.samples, 0u);
   EXPECT_FALSE(a.folded.empty());
-#else
-  EXPECT_EQ(a.samples, 0u);
-#endif
 }
 
 TEST(Sampler, IntervalChangesSampleCountNotDeterminism) {
@@ -142,9 +129,7 @@ TEST(Sampler, IntervalChangesSampleCountNotDeterminism) {
   const auto fine = sampled_run(bin, true, 1024);
   const auto fine2 = sampled_run(bin, true, 1024);
   EXPECT_EQ(fine.folded, fine2.folded);
-#if RVDYN_OBS_ENABLED
   EXPECT_GT(fine.samples, coarse.samples);
-#endif
 }
 
 TEST(Sampler, DetachStopsSamplingAndKeepsProfile) {
@@ -175,11 +160,9 @@ TEST(Sampler, LeafOnlyModeFoldsSingleFrames) {
   opts.capture_stacks = false;
   obs::Sampler sampler(m, co, opts);
   EXPECT_EQ(m.run(2'000'000'000ULL), emu::StopReason::Exited);
-#if RVDYN_OBS_ENABLED
   ASSERT_GT(sampler.samples(), 0u);
   // No ';' anywhere: every folded key is a single frame.
   EXPECT_EQ(sampler.folded().find(';'), std::string::npos);
-#endif
 }
 
 // The interval is prime: a deterministic sampler whose period shares a
